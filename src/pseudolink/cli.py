@@ -29,8 +29,6 @@ def _out(args, payload: dict, text_lines: Iterable[str]) -> None:
 def _symbols(args) -> list[str]:
     if args.stdin:
         return [line.strip() for line in sys.stdin if line.strip() and not line.lstrip().startswith("#")]
-    if args.symbol is None:
-        raise SystemExit(2)
     return [args.symbol]
 
 
@@ -186,9 +184,7 @@ def cmd_census(args) -> None:
         try:
             d = _diagram(symbol, args)
             report = invariants.pseudodeterminant(d, symbol=symbol, cap=args.max_precrossings)
-            numbers = sorted(
-                invariants.coloring_numbers(d, args.bound, cap=args.max_precrossings)
-            )
+            numbers = sorted(report.coloring_numbers(args.bound))
             value = report.pseudodeterminant
             histogram[value] = histogram.get(value, 0) + 1
             entries.append(
@@ -398,6 +394,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "families" and args.action == "show" and args.row is None:
         parser.error("families show needs a row number")
+    if getattr(args, "symbol", "") is None and not args.stdin:
+        parser.error(f"{args.command} needs a symbol or --stdin")
     try:
         args.func(args)
     except SystemExit as exc:

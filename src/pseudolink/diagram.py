@@ -350,6 +350,51 @@ class PseudoDiagram:
         for bits in itertools.product((0, 1), repeat=len(pres)):
             yield dict(zip(pres, bits))
 
+    def twist_classes(self) -> dict[int, tuple[int, int]]:
+        """(group, sense flip) of every precrossing, joined across bigon faces.
+
+        Nodes a != b bound a bigon when slots j and j+1 of a are joined to
+        slots l and l-1 (mod 4) of b.  Precrossings linked by bigons share a
+        group, with flip[a] ^ flip[b] = 1 ^ (j&1) ^ (l&1) across each bigon,
+        so that a choice equal to its node's flip has the same (positive)
+        twist sense everywhere in the group.  Two opposite-sense choices at a
+        bigon cancel by Reidemeister II whichever way round they sit, so
+        resolutions with the same count of positive-sense choices per group
+        are isotopic: an i^n has n + 1 classes.
+
+        The flips never contradict: a cycle of bigons passes each node
+        through opposite faces, so its parities sum to 0.  A non-planar map
+        (possible through from_dict) has bigons that bound no disc, so there
+        every precrossing keeps a group of its own.
+        """
+        pres = self.precrossing_indices()
+        pre_slot = {e: (i, s) for i in pres for s, e in enumerate(self.nodes[i].slots)}
+        links: dict[int, list[tuple[int, int]]] = {i: [] for i in pres}
+        for a in pres:
+            slots = self.nodes[a].slots
+            for j in range(4):
+                b, l = pre_slot.get(self.pair[slots[j]], (None, 0))
+                b2, l2 = pre_slot.get(self.pair[slots[(j + 1) % 4]], (None, 0))
+                if b is not None and b == b2 != a and l2 == (l - 1) % 4:
+                    links[a].append((b, 1 ^ (j & 1) ^ (l & 1)))
+        if any(links.values()) and not self.euler_ok():
+            links = {i: [] for i in pres}
+        classes: dict[int, tuple[int, int]] = {}
+        n_groups = 0
+        for start in pres:
+            if start in classes:
+                continue
+            classes[start] = (n_groups, 0)
+            queue = [start]
+            while queue:
+                cur = queue.pop()
+                for nxt, parity in links[cur]:
+                    if nxt not in classes:
+                        classes[nxt] = (n_groups, classes[cur][1] ^ parity)
+                        queue.append(nxt)
+            n_groups += 1
+        return classes
+
     # -- shadow / alternation ---------------------------------------------
 
     def alternating_assignment(self) -> tuple[dict[int, int], dict[int, int]] | None:

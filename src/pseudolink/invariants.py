@@ -115,9 +115,36 @@ class PseudoDetReport:
             "pseudodet": self.pseudodeterminant,
         }
 
+    def coloring_numbers(self, bound: int) -> set[int]:
+        """All p in 2..bound that share a factor with every resolution determinant.
+
+        0 counts as sharing every factor.  A resolution has a nontrivial
+        p-coloring exactly when its determinant and p share a factor.
+        """
+        dets = {r.det for r in self.resolutions}
+        return {
+            p for p in range(2, bound + 1)
+            if all(det == 0 or math.gcd(det, p) > 1 for det in dets)
+        }
+
 
 def _assignment_string(d: PseudoDiagram, assignment: dict[int, int]) -> str:
     return "".join("+" if assignment[i] == 0 else "-" for i in sorted(assignment))
+
+
+def _keyed_resolutions(d: PseudoDiagram, cap: int) -> Iterator[tuple[dict[int, int], tuple[int, ...]]]:
+    """Every full resolution with its class key: positive-sense choices per twist group.
+
+    Resolutions with equal keys are isotopic (PseudoDiagram.twist_classes).
+    """
+    classes = d.twist_classes()
+    n_groups = 1 + max((group for group, _ in classes.values()), default=-1)
+    for assignment in d.resolutions(cap):
+        counts = [0] * n_groups
+        for idx, choice in assignment.items():
+            group, flip = classes[idx]
+            counts[group] += choice == flip
+        yield assignment, tuple(counts)
 
 
 def pseudodeterminant(
@@ -125,13 +152,27 @@ def pseudodeterminant(
     symbol: str | None = None,
     cap: int = DEFAULT_PRECROSSING_CAP,
 ) -> PseudoDetReport:
-    """gcd of the determinants over all full resolutions, with the table."""
+    """gcd of the determinants over all full resolutions, with the table.
+
+    The table keeps one entry per assignment, in enumeration order, but a
+    determinant is computed only once per resolution class: precrossings
+    joined by bigon faces form twist groups, and by Reidemeister II a
+    resolution with a positive-sense and b negative-sense choices in a group
+    is the integer tangle a - b there, so assignments with the same
+    positive-sense count in every group resolve to isotopic links.  An i^n
+    thus costs n + 1 determinants instead of 2^n.  The Kauffman-Harary
+    property and explicit colorings depend on the diagram, not only on its
+    link type (Reidemeister II changes the arc count), so kh_property and
+    find_colorings stay per assignment.
+    """
     entries = []
+    dets: dict[tuple[int, ...], int] = {}
     g = 0
-    for assignment in d.resolutions(cap):
-        det = determinant(d.resolve(assignment))
-        entries.append(ResolutionDet(_assignment_string(d, assignment), det))
-        g = math.gcd(g, det)
+    for assignment, key in _keyed_resolutions(d, cap):
+        if key not in dets:
+            dets[key] = determinant(d.resolve(assignment))
+            g = math.gcd(g, dets[key])
+        entries.append(ResolutionDet(_assignment_string(d, assignment), dets[key]))
     return PseudoDetReport(symbol, tuple(entries), g)
 
 
@@ -154,10 +195,21 @@ def _has_nontrivial_solution(rows: list[list[int]], n_arcs: int, p: int) -> bool
 
 
 def is_colorable(d: PseudoDiagram, p: int, cap: int = DEFAULT_PRECROSSING_CAP) -> bool:
-    """Colorable mod p: every full resolution has a nontrivial p-coloring."""
+    """Colorable mod p: every full resolution has a nontrivial p-coloring.
+
+    Colorability is an isotopy invariant, so one resolution is checked per
+    class of the bigon-class rule (see pseudodeterminant): assignments with
+    the same count of positive-sense choices in every twist group resolve,
+    by Reidemeister II, to the same link.  Explicit colorings and the
+    Kauffman-Harary property stay per assignment.
+    """
     if p < 2:
         raise ValueError("modulus must be >= 2")
-    for assignment in d.resolutions(cap):
+    seen: set[tuple[int, ...]] = set()
+    for assignment, key in _keyed_resolutions(d, cap):
+        if key in seen:
+            continue
+        seen.add(key)
         resolved = d.resolve(assignment)
         system = coloring_system(resolved)
         if not _has_nontrivial_solution(system.matrix.row_lists(), system.n_arcs, p):
@@ -176,15 +228,9 @@ def is_strong_colorable(d: PseudoDiagram, p: int) -> bool:
 def coloring_numbers(d: PseudoDiagram, bound: int, cap: int = DEFAULT_PRECROSSING_CAP) -> set[int]:
     """All p in 2..bound for which the diagram is colorable mod p.
 
-    Uses the per-resolution determinants: p qualifies exactly when it shares
-    a factor with every resolution determinant (0 counts as sharing all).
+    Decided from the per-resolution determinants (PseudoDetReport.coloring_numbers).
     """
-    dets = [r.det for r in pseudodeterminant(d, cap=cap).resolutions]
-    out = set()
-    for p in range(2, bound + 1):
-        if all(det == 0 or math.gcd(det, p) > 1 for det in dets):
-            out.add(p)
-    return out
+    return pseudodeterminant(d, cap=cap).coloring_numbers(bound)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from pseudolink import invariants
 from pseudolink.cli import main
 
 
@@ -94,6 +97,13 @@ class TestInvariantCommands:
         code, _out, err = run(capsys, "pseudodet", "--max-precrossings", "2", "(i,i,i),3,-3")
         assert code == 1 and "cap" in err
 
+    def test_missing_symbol_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["det"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: pk" in err and "det needs a symbol or --stdin" in err
+
 
 class TestCensus:
     def test_bundle(self, capsys, tmp_path):
@@ -133,6 +143,18 @@ class TestCensus:
         code, out, _ = run(capsys, "census", "--format", "json", str(path))
         payload = json.loads(out)
         assert payload["histogram"] == {"3": 1, "9": 1}
+
+    def test_one_resolution_pass_per_symbol(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        real = invariants.pseudodeterminant
+        monkeypatch.setattr(invariants, "pseudodeterminant", lambda *a, **k: calls.append(1) or real(*a, **k))
+        path = tmp_path / "two.txt"
+        path.write_text("3 i 3\n(3) (i^3) (5)\n")
+        code, out, _ = run(capsys, "census", "--format", "json", str(path))
+        assert code == 0 and len(calls) == 2
+        entries = json.loads(out)["entries"]
+        assert entries[0]["coloring_numbers"] == [3, 6, 9, 12]
+        assert [e["pseudodet"] for e in entries] == [3, 1]
 
 
 class TestFamilies:
