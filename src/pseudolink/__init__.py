@@ -12,7 +12,6 @@ from .invariants import (
     is_colorable,
     is_strong_colorable,
     kh_property,
-    max_colors,
     pseudodeterminant,
 )
 from .notation import ConwayExpr, parse, render, tokenize
@@ -34,7 +33,6 @@ __all__ = [
     "is_colorable",
     "is_strong_colorable",
     "kh_property",
-    "max_colors",
     "numerator_close",
     "parse",
     "pseudodeterminant",

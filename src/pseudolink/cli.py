@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 from . import families, invariants, notation
 from .diagram import DEFAULT_PRECROSSING_CAP, PseudoDiagram, build_diagram
@@ -24,6 +24,11 @@ def _out(args, payload: dict, text_lines: Iterable[str]) -> None:
     else:
         for line in text_lines:
             print(line)
+
+
+def _usage_error(message: str) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _symbols(args) -> list[str]:
@@ -132,7 +137,7 @@ def cmd_colorings(args) -> None:
             per_resolution = []
             for assignment in d.resolutions(args.max_precrossings):
                 resolved = d.resolve(assignment)
-                name = "".join("+" if assignment[i] == 0 else "-" for i in sorted(assignment))
+                name = invariants._assignment_string(assignment)
                 colorings = []
                 for c in invariants.find_colorings(resolved, args.mod):
                     colorings.append(list(c.values))
@@ -231,8 +236,7 @@ def cmd_families(args) -> None:
         try:
             spec = families.get_family(args.row)
         except KeyError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            raise SystemExit(2)
+            _usage_error(str(exc))
         base = {name: 1 for name in spec.parameters}
         symbol, _ = families.instantiate(spec, **base)
         payload = {
@@ -300,19 +304,23 @@ def _parse_rows(spec: str) -> list[int]:
 
 
 def _parse_grid_span(spec: str) -> int:
-    # grid specs look like "p=1:2,k=1:3"; the verifier uses a uniform span,
-    # so take the widest upper bound
-    span = 2
-    for piece in spec.split(","):
-        if "=" in piece and ":" in piece:
-            _, rng = piece.split("=", 1)
-            lo, hi = rng.split(":", 1)
-            if int(lo) != 1:
-                raise SystemExit(2)
-            span = max(span, int(hi))
-        elif piece.strip():
-            span = max(span, int(piece))
-    return span
+    """The span of a grid spec such as "p=1:3,k=1:3" or "3".
+
+    The verifier walks every parameter over 1..span, so each range must
+    start at 1 and all must end at the same value.
+    """
+    spans = set()
+    for piece in filter(None, map(str.strip, spec.split(","))):
+        lo, _, hi = piece.split("=", 1)[-1].rpartition(":")
+        try:
+            if int(lo or 1) != 1:
+                _usage_error(f"grid range {piece!r} must start at 1")
+            spans.add(int(hi))
+        except ValueError:
+            _usage_error(f"bad grid range {piece!r}; use e.g. p=1:3")
+    if len(spans) > 1 or min(spans, default=1) < 1:
+        _usage_error(f"grid {spec!r} needs one common span >= 1 for every parameter")
+    return spans.pop() if spans else 2
 
 
 def build_parser() -> argparse.ArgumentParser:

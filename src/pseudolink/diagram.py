@@ -364,8 +364,9 @@ class PseudoDiagram:
 
         The flips never contradict: a cycle of bigons passes each node
         through opposite faces, so its parities sum to 0.  A non-planar map
-        (possible through from_dict) has bigons that bound no disc, so there
-        every precrossing keeps a group of its own.
+        (the raw constructor builds one; from_dict rejects it) has bigons
+        that bound no disc, so there every precrossing keeps a group of its
+        own.
         """
         pres = self.precrossing_indices()
         pre_slot = {e: (i, s) for i in pres for s, e in enumerate(self.nodes[i].slots)}
@@ -540,7 +541,11 @@ class PseudoDiagram:
             pair[b] = a
         if set(pair) != seen_slots:
             raise DiagramError("joins must cover every slot endpoint exactly once")
-        return PseudoDiagram(nodes, pair, int(data.get("free_loops", 0)))
+        d = PseudoDiagram(nodes, pair, int(data.get("free_loops", 0)))
+        if not d.euler_ok():
+            # the coloring minors of a non-planar map are not link invariants
+            raise DiagramError("joins do not form a planar map (V - E + F != 2)")
+        return d
 
 
 def numerator_close(t: Tangle) -> PseudoDiagram:

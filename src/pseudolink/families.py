@@ -50,9 +50,17 @@ def _template_parameters(template: str) -> tuple[str, ...]:
     return tuple(letters)
 
 
+_LINEAR_RE = re.compile(r"\s*(\d*)\s*([pqrskmn])\s*(?:([+-])\s*(\d+))?\s*")
+
+
 def _eval_param_expr(expr: str, values: Mapping[str, int]) -> int:
-    py = re.sub(r"(\d)\s*([pqrskmn])", r"\1*\2", expr)
-    return int(eval(py, {"__builtins__": {}}, dict(values)))  # noqa: S307 - closed expression grammar
+    """Value of a template expression c*x + d or c*x - d, written like 2k-1 or 2q."""
+    match = _LINEAR_RE.fullmatch(expr)
+    if match is None:
+        raise ValueError(f"template expression {expr!r} is not of the form 2k-1")
+    coeff, name, sign, offset = match.groups()
+    shift = -int(offset) if sign == "-" else int(offset or 0)
+    return int(coeff or 1) * values[name] + shift
 
 
 def instantiate_template(template: str, values: Mapping[str, int]) -> str:

@@ -16,47 +16,48 @@ from typing import Iterator
 
 from .diagram import DEFAULT_PRECROSSING_CAP, PseudoDiagram
 from .errors import HasPrecrossings
-from .linalg import IntMatrix, minor_determinant, solution_space_mod
+from .linalg import minor_determinant, solution_space_mod
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
 
 @dataclass(frozen=True)
 class ColoringSystem:
-    matrix: IntMatrix          # classical rows only
-    strong_rows: IntMatrix     # precrossing equality rows (may be 0-row)
+    """The coloring equations as sparse rows {arc: coefficient}.
+
+    The classical rows come first, in node-index order; a strong system
+    appends one equality row per precrossing whose two arcs differ.
+    """
+
+    rows: tuple[dict[int, int], ...]
     n_arcs: int
 
-    def full_rows(self) -> list[list[int]]:
-        return self.matrix.row_lists() + self.strong_rows.row_lists()
+    def dense_rows(self) -> list[list[int]]:
+        """The rows n_arcs wide, as the Smith form takes them."""
+        dense = []
+        for row in self.rows:
+            full = [0] * self.n_arcs
+            for arc, coeff in row.items():
+                full[arc] = coeff
+            dense.append(full)
+        return dense
 
 
 def coloring_system(d: PseudoDiagram, strong: bool = False) -> ColoringSystem:
     arcs = d.arcs()
-    n = arcs.n_arcs
     rows = []
     for idx in sorted(arcs.classical):
         over, uin, uout = arcs.classical[idx]
-        row = [0] * n
-        row[uin] += 1
-        row[uout] += 1
-        row[over] -= 2
-        rows.append(row)
-    strong_rows = []
+        row = {uin: 1}
+        row[uout] = row.get(uout, 0) + 1
+        row[over] = row.get(over, 0) - 2
+        rows.append({arc: coeff for arc, coeff in row.items() if coeff})  # a kink's row is 0
     if strong:
         for idx in sorted(arcs.precrossing):
             a, b = arcs.precrossing[idx]
-            if a == b:
-                continue
-            row = [0] * n
-            row[a] += 1
-            row[b] -= 1
-            strong_rows.append(row)
-    return ColoringSystem(
-        IntMatrix(rows) if rows else IntMatrix([]),
-        IntMatrix(strong_rows) if strong_rows else IntMatrix([]),
-        n,
-    )
+            if a != b:
+                rows.append({a: 1, b: -1})
+    return ColoringSystem(tuple(rows), arcs.n_arcs)
 
 
 @dataclass(frozen=True)
@@ -92,8 +93,7 @@ def determinant(d: PseudoDiagram) -> int:
         return 1 if arcs.components == 1 else 0
     if arcs.n_arcs > n:
         return 0  # a component never passes under: split-style diagram
-    system = coloring_system(d)
-    return minor_determinant(system.matrix, 0, 0)
+    return minor_determinant(coloring_system(d).rows, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -118,17 +118,14 @@ class PseudoDetReport:
     def coloring_numbers(self, bound: int) -> set[int]:
         """All p in 2..bound that share a factor with every resolution determinant.
 
-        0 counts as sharing every factor.  A resolution has a nontrivial
-        p-coloring exactly when its determinant and p share a factor.
+        0 counts as sharing every factor.  These are the p for which every
+        resolution has a nontrivial p-coloring (see _colorable_det).
         """
         dets = {r.det for r in self.resolutions}
-        return {
-            p for p in range(2, bound + 1)
-            if all(det == 0 or math.gcd(det, p) > 1 for det in dets)
-        }
+        return {p for p in range(2, bound + 1) if all(_colorable_det(det, p) for det in dets)}
 
 
-def _assignment_string(d: PseudoDiagram, assignment: dict[int, int]) -> str:
+def _assignment_string(assignment: dict[int, int]) -> str:
     return "".join("+" if assignment[i] == 0 else "-" for i in sorted(assignment))
 
 
@@ -145,6 +142,15 @@ def _keyed_resolutions(d: PseudoDiagram, cap: int) -> Iterator[tuple[dict[int, i
             group, flip = classes[idx]
             counts[group] += choice == flip
         yield assignment, tuple(counts)
+
+
+def _resolution_dets(d: PseudoDiagram, cap: int) -> Iterator[tuple[dict[int, int], int]]:
+    """Every full resolution with its determinant, computed once per class key."""
+    dets: dict[tuple[int, ...], int] = {}
+    for assignment, key in _keyed_resolutions(d, cap):
+        if key not in dets:
+            dets[key] = determinant(d.resolve(assignment))
+        yield assignment, dets[key]
 
 
 def pseudodeterminant(
@@ -166,63 +172,54 @@ def pseudodeterminant(
     find_colorings stay per assignment.
     """
     entries = []
-    dets: dict[tuple[int, ...], int] = {}
     g = 0
-    for assignment, key in _keyed_resolutions(d, cap):
-        if key not in dets:
-            dets[key] = determinant(d.resolve(assignment))
-            g = math.gcd(g, dets[key])
-        entries.append(ResolutionDet(_assignment_string(d, assignment), dets[key]))
+    for assignment, det in _resolution_dets(d, cap):
+        g = math.gcd(g, det)
+        entries.append(ResolutionDet(_assignment_string(assignment), det))
     return PseudoDetReport(symbol, tuple(entries), g)
-
-
-def max_colors(d: PseudoDiagram, cap: int = DEFAULT_PRECROSSING_CAP) -> int:
-    """Largest achievable color count over all diagrams: the pseudodeterminant."""
-    return pseudodeterminant(d, cap=cap).pseudodeterminant
 
 
 # ---------------------------------------------------------------------------
 # Colorability
 
 
-def _has_nontrivial_solution(rows: list[list[int]], n_arcs: int, p: int) -> bool:
-    if n_arcs == 0:
+def _has_nontrivial_solution(system: ColoringSystem, p: int) -> bool:
+    if system.n_arcs == 0:
         return False
-    if not rows:
-        return n_arcs > 1  # several unconstrained arcs: color them apart
-    space = solution_space_mod(rows, p)
-    return space.count > p
+    if not system.rows:
+        return system.n_arcs > 1  # several unconstrained arcs: color them apart
+    return solution_space_mod(system.dense_rows(), p).count > p
+
+
+def _colorable_det(det: int, p: int) -> bool:
+    """A classical diagram of determinant det has a nontrivial p-coloring.
+
+    The coloring count is p times the product of gcd(d_i, p) over the
+    invariant factors d_i of the reduced matrix, and a prime divides
+    det = prod d_i exactly when it divides some d_i.  det = 0 counts as
+    sharing every factor (gcd(0, p) = p).
+    """
+    return math.gcd(det, p) > 1
 
 
 def is_colorable(d: PseudoDiagram, p: int, cap: int = DEFAULT_PRECROSSING_CAP) -> bool:
     """Colorable mod p: every full resolution has a nontrivial p-coloring.
 
-    Colorability is an isotopy invariant, so one resolution is checked per
-    class of the bigon-class rule (see pseudodeterminant): assignments with
-    the same count of positive-sense choices in every twist group resolve,
-    by Reidemeister II, to the same link.  Explicit colorings and the
-    Kauffman-Harary property stay per assignment.
+    A resolution has one exactly when its determinant is 0 or shares a
+    factor with p, and the determinants come one per resolution class (see
+    pseudodeterminant).  The walk stops at the first resolution that has
+    none.
     """
     if p < 2:
         raise ValueError("modulus must be >= 2")
-    seen: set[tuple[int, ...]] = set()
-    for assignment, key in _keyed_resolutions(d, cap):
-        if key in seen:
-            continue
-        seen.add(key)
-        resolved = d.resolve(assignment)
-        system = coloring_system(resolved)
-        if not _has_nontrivial_solution(system.matrix.row_lists(), system.n_arcs, p):
-            return False
-    return True
+    return all(_colorable_det(det, p) for _, det in _resolution_dets(d, cap))
 
 
 def is_strong_colorable(d: PseudoDiagram, p: int) -> bool:
     """Strong colorable mod p: the combined system has a nontrivial solution."""
     if p < 2:
         raise ValueError("modulus must be >= 2")
-    system = coloring_system(d, strong=True)
-    return _has_nontrivial_solution(system.full_rows(), system.n_arcs, p)
+    return _has_nontrivial_solution(coloring_system(d, strong=True), p)
 
 
 def coloring_numbers(d: PseudoDiagram, bound: int, cap: int = DEFAULT_PRECROSSING_CAP) -> set[int]:
@@ -251,11 +248,9 @@ def find_colorings(
     if not strong and d.precrossing_indices():
         raise HasPrecrossings(len(d.precrossing_indices()))
     system = coloring_system(d, strong=strong)
-    rows = system.full_rows()
     if system.n_arcs == 0:
         return
-    if not rows:
-        rows = [[0] * system.n_arcs]
+    rows = system.dense_rows() or [[0] * system.n_arcs]
     for vec in solution_space_mod(rows, p, cap=cap):
         coloring = Coloring(p, vec)
         if not coloring.is_trivial:

@@ -11,55 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import EnumerationTooLarge
 
 Rows = Sequence[Sequence[int]]
 
 
-class IntMatrix:
-    """Immutable dense integer matrix, row-major."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: Rows):
-        data = [list(r) for r in rows]
-        width = len(data[0]) if data else 0
-        if any(len(r) != width for r in data):
-            raise ValueError("ragged rows")
-        self.rows = len(data)
-        self.cols = width
-        self.entries = tuple(x for row in data for x in row)
-
-    def __getitem__(self, index: tuple[int, int]) -> int:
-        i, j = index
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"({i}, {j}) outside {self.rows}x{self.cols} matrix")
-        return self.entries[i * self.cols + j]
-
-    def row_lists(self) -> list[list[int]]:
-        c = self.cols
-        return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, IntMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self) -> str:
-        return f"IntMatrix({self.row_lists()!r})"
-
-
-def _as_rows(m: IntMatrix | Rows) -> list[list[int]]:
-    if isinstance(m, IntMatrix):
-        return m.row_lists()
+def _as_rows(m: Rows) -> list[list[int]]:
     return [list(r) for r in m]
 
 
@@ -155,7 +114,7 @@ def abs_det_sparse(rows: Iterable[dict[int, int]], size: int) -> int:
     return abs(prev)
 
 
-def abs_det(m: IntMatrix | Rows) -> int:
+def abs_det(m: Rows) -> int:
     rows = _as_rows(m)
     size = len(rows)
     if any(len(r) != size for r in rows):
@@ -164,24 +123,24 @@ def abs_det(m: IntMatrix | Rows) -> int:
     return abs_det_sparse(sparse, size)
 
 
-def minor_determinant(m: IntMatrix | Rows, drop_row: int, drop_col: int) -> int:
-    """|det| of the submatrix obtained by deleting one row and one column.
+def minor_determinant(rows: Sequence[Mapping[int, int]], drop_row: int, drop_col: int) -> int:
+    """|det| of a square matrix of sparse rows less one row and one column.
 
-    For a 1x1 matrix the minor is empty and its determinant is 1.
+    Row i maps column j to entry (i, j); absent columns are 0, and n rows
+    make an n x n matrix.  For a 1x1 matrix the minor is empty and its
+    determinant is 1.
     """
-    rows = _as_rows(m)
     n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
-        raise ValueError("minor_determinant needs a square matrix, n >= 1")
+    if n == 0 or any(not 0 <= j < n for row in rows for j in row):
+        raise ValueError("minor_determinant needs n >= 1 rows with columns in 0..n-1")
     if not (0 <= drop_row < n and 0 <= drop_col < n):
         raise IndexError(f"cannot drop ({drop_row}, {drop_col}) from a {n}x{n} matrix")
     minor = [
-        [v for j, v in enumerate(row) if j != drop_col]
+        {j - (j > drop_col): v for j, v in row.items() if j != drop_col}
         for i, row in enumerate(rows)
         if i != drop_row
     ]
-    sparse = [{j: v for j, v in enumerate(r) if v != 0} for r in minor]
-    return abs_det_sparse(sparse, n - 1)
+    return abs_det_sparse(minor, n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +224,7 @@ def _smith_engine(rows: list[list[int]], want_transform: bool) -> tuple[list[int
     return d, v
 
 
-def smith_normal_form(m: IntMatrix | Rows) -> SmithForm:
+def smith_normal_form(m: Rows) -> SmithForm:
     rows = _as_rows(m)
     if not rows or not rows[0]:
         return SmithForm(())
@@ -285,7 +244,7 @@ class SolutionSpace:
     count exceeds the cap.
     """
 
-    def __init__(self, m: IntMatrix | Rows, modulus: int, cap: int = 10**6):
+    def __init__(self, m: Rows, modulus: int, cap: int = 10**6):
         if modulus < 2:
             raise ValueError("modulus must be >= 2")
         rows = _as_rows(m)
@@ -333,5 +292,5 @@ class SolutionSpace:
         yield from rec(0, [0] * self.cols)
 
 
-def solution_space_mod(m: IntMatrix | Rows, modulus: int, cap: int = 10**6) -> SolutionSpace:
+def solution_space_mod(m: Rows, modulus: int, cap: int = 10**6) -> SolutionSpace:
     return SolutionSpace(m, modulus, cap)

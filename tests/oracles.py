@@ -2,9 +2,12 @@
 
 These stay deliberately naive: continued fractions for rational tangle
 words, cofactor expansion and rational elimination for determinants,
-exhaustive assignment search for coloring counts, and one determinant per
-resolution assignment for pseudodeterminant tables.  None of them share
-code with the library paths they validate.
+exhaustive assignment search for coloring counts, one determinant per
+resolution assignment for pseudodeterminant tables, and one Smith-form
+coloring count per resolution assignment for colorability.  None of them
+share code with the library paths they validate: the colorability oracle
+borrows the library's Smith form (checked against brute force in
+test_linalg), which is_colorable does not use.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd
+
+from pseudolink.linalg import solution_space_mod
 
 
 def continued_fraction(word: list[int]) -> Fraction:
@@ -94,6 +99,11 @@ def classical_determinant(diagram) -> int:
         return 1 if arcs.components == 1 else 0
     if arcs.n_arcs > n:
         return 0
+    rows = _dense_coloring_rows(arcs)
+    return abs(fraction_determinant([row[1:] for row in rows[1:]]))
+
+
+def _dense_coloring_rows(arcs) -> list[list[int]]:
     rows = []
     for over, uin, uout in arcs.classical.values():
         row = [0] * arcs.n_arcs
@@ -101,7 +111,14 @@ def classical_determinant(diagram) -> int:
         row[uout] += 1
         row[over] -= 2
         rows.append(row)
-    return abs(fraction_determinant([row[1:] for row in rows[1:]]))
+    return rows
+
+
+def _resolved(diagram):
+    """Every full resolution, precrossings in node-index order, choice 0 first."""
+    pres = [i for i, node in enumerate(diagram.nodes) if node.over is None]
+    for bits in product((0, 1), repeat=len(pres)):
+        yield diagram.resolve(dict(zip(pres, bits)))
 
 
 def resolution_determinants(diagram) -> list[int]:
@@ -110,13 +127,29 @@ def resolution_determinants(diagram) -> list[int]:
     Assignments run over the precrossings in node-index order, choice 0
     ('+') before 1, which is the order of the pseudodeterminant table.
     """
-    pres = [i for i, node in enumerate(diagram.nodes) if node.over is None]
-    return [
-        classical_determinant(diagram.resolve(dict(zip(pres, bits))))
-        for bits in product((0, 1), repeat=len(pres))
-    ]
+    return [classical_determinant(resolved) for resolved in _resolved(diagram)]
 
 
 def colorable_from_determinants(dets: list[int], modulus: int) -> bool:
     """Every resolution has a nontrivial coloring mod p: each det is 0 or shares a factor with p."""
     return all(det == 0 or gcd(det, modulus) > 1 for det in dets)
+
+
+def smith_colorable(diagram, modulus: int) -> bool:
+    """Every full resolution has a nontrivial coloring mod p, by counting.
+
+    Per assignment, the solutions of the coloring system mod p are counted
+    from its Smith form; a coloring is nontrivial when there are more than
+    the p constant ones.  Without crossings, the arcs are unconstrained
+    and can be colored apart when there are several.
+    """
+    for resolved in _resolved(diagram):
+        arcs = resolved.arcs()
+        rows = _dense_coloring_rows(arcs)
+        if rows:
+            nontrivial = solution_space_mod(rows, modulus).count > modulus
+        else:
+            nontrivial = arcs.n_arcs > 1
+        if not nontrivial:
+            return False
+    return True

@@ -4,8 +4,8 @@ Run with -s to see the per-criterion lines.  Values are exact integer
 pins from the published worked examples; timing limits are asserted
 directly.  Criterion 3's strong-coloring exclusion is a documented
 expected failure: the published claim contradicts a brute-force
-enumeration (see the repository notes), and the faithful assertion is
-kept under strict xfail rather than weakened.
+enumeration (the witness is in that test's docstring), and the faithful
+assertion is kept under strict xfail rather than weakened.
 """
 
 import itertools
@@ -93,13 +93,29 @@ def test_criterion_3_weak_colorability_side():
     strict=True,
     reason="published strong-coloring exclusion contradicts brute-force "
     "enumeration: the 3/2-fraction tangles carry a nontrivial coloring "
-    "while the pseudotwist stays monochromatic (see notes/decisions.md)",
+    "while the pseudotwist stays monochromatic (witness in the docstring)",
 )
 def test_criterion_3_strong_exclusion_as_published():
+    """The paper says 2 1,2 1,-(i,1,1) has no strong 3-coloring; it has six.
+
+    The diagram has 8 arcs, numbered as PseudoDiagram.arcs numbers them.
+    Each classical crossing gives under_in + under_out = 2 * over (mod 3),
+    as (over, under_in, under_out): (7, 2, 3), (3, 6, 7), (2, 3, 4),
+    (6, 0, 1), (1, 5, 6), (0, 1, 2), (5, 7, 0), (0, 4, 5).  The one
+    precrossing (node 6) joins arcs 5 and 7, which a strong coloring must
+    color alike.  Trying all 3^8 colorings leaves the 3 constant ones and 6
+    nontrivial ones, among them
+
+        arc:    0  1  2  3  4  5  6  7
+        color:  0  1  2  1  0  0  2  0
+
+    Arcs 5 and 7 share color 0, so the pseudotwist is monochromatic while
+    the other arcs use all three colors.
+    """
     d = build_diagram("2 1,2 1,-(i,1,1)")
     strong = is_strong_colorable(d, 3)
     report("3b (strong 3-coloring excluded)", not strong,
-           "KNOWN FAILURE: explicit strong coloring exists; see decisions ledger")
+           "KNOWN FAILURE: explicit strong coloring exists; witness in the docstring")
 
 
 def test_criterion_4_continued_fraction_oracle():
@@ -200,7 +216,7 @@ def test_criterion_9_property_suites():
         if d.crossing_count > 8:
             continue
         system = invariants.coloring_system(d)
-        rows = system.matrix.row_lists()
+        rows = system.rows
         if len(rows) != system.n_arcs or not rows:
             continue
         from pseudolink.linalg import minor_determinant

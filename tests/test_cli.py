@@ -187,6 +187,19 @@ class TestFamilies:
         assert code == 0
         assert "FLAGGED" in out
 
+    def test_verify_equal_grid_spans(self, capsys):
+        code, out, _ = run(capsys, "families", "verify", "--rows", "1", "--grid", "p=1:3,q=1:3,k=1:3",
+                           "--format", "json")
+        assert code == 0
+        assert len(json.loads(out)["reports"][0]["points"]) == 27
+
+    @pytest.mark.parametrize("grid", ["p=1:2,k=1:3", "p=2:3", "p=1:x"])
+    def test_verify_grid_it_cannot_honour_is_usage_error(self, capsys, grid):
+        code, out, err = run(capsys, "families", "verify", "--rows", "1", "--grid", grid)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and grid in err
+
     def test_verify_json(self, capsys):
         code, out, _ = run(capsys, "families", "verify", "--rows", "1", "--format", "json")
         payload = json.loads(out)

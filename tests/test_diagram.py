@@ -248,3 +248,12 @@ class TestJson:
         d["joins"][0] = [d["joins"][0][0], d["joins"][0][0]]
         with pytest.raises(DiagramError):
             PseudoDiagram.from_dict(d)
+
+    def test_non_planar_map_rejected(self):
+        # one precrossing whose opposite slots are joined: a single face, so
+        # V - E + F = 1 - 2 + 1 = 0 (a torus map); adjacent slots would be planar
+        node = {"id": 0, "kind": "pre", "slots": [0, 1, 2, 3], "over": None}
+        planar = PseudoDiagram.from_dict({"nodes": [node], "joins": [[0, 1], [2, 3]]})
+        assert planar.euler_ok()
+        with pytest.raises(DiagramError, match="planar"):
+            PseudoDiagram.from_dict({"nodes": [node], "joins": [[0, 2], [1, 3]]})

@@ -1,5 +1,8 @@
 """Family table integrity, instantiation, verification, and twist surgery."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from pseudolink import families, notation
@@ -36,6 +39,31 @@ class TestTable:
         for spec in FAMILY_TABLE:
             for point in default_grid(spec):
                 assert predicted_d(spec, **point) >= 0
+
+
+class TestTemplateExpressions:
+    @pytest.mark.parametrize("expr, want", [
+        ("2k-1", 5), ("2q", 8), ("2p+1", 3), ("k", 3), ("2m", 2), ("2 n - 1", 7),
+    ])
+    def test_linear_forms(self, expr, want):
+        values = {"p": 1, "q": 4, "k": 3, "m": 1, "n": 4}
+        assert families._eval_param_expr(expr, values) == want
+
+    @pytest.mark.parametrize("expr", ["2*k", "k*k", "2k+", "-2k", "2k-1-1", "x", "__import__('os')", ""])
+    def test_other_expressions_rejected(self, expr):
+        with pytest.raises(ValueError):
+            families._eval_param_expr(expr, {"k": 1})
+
+    def test_library_calls_no_eval_or_exec(self):
+        src = Path(families.__file__).resolve().parent
+        calls = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(src.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("eval", "exec")
+        ]
+        assert calls == []
 
 
 class TestInstantiate:

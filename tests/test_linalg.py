@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from pseudolink.errors import EnumerationTooLarge
 from pseudolink.linalg import (
-    IntMatrix,
     abs_det,
     minor_determinant,
     smith_normal_form,
@@ -17,24 +16,34 @@ from pseudolink.linalg import (
 from oracles import brute_solution_count, cofactor_determinant
 
 
+def sparse(rows):
+    return [{j: v for j, v in enumerate(row) if v} for row in rows]
+
+
 class TestMinorDeterminant:
     def test_trefoil_matrix(self):
         trefoil = [[-2, 1, 1], [1, -2, 1], [1, 1, -2]]
-        assert minor_determinant(trefoil, 0, 0) == 3
+        assert minor_determinant(sparse(trefoil), 0, 0) == 3
 
     def test_empty_minor_of_1x1(self):
-        assert minor_determinant([[0]], 0, 0) == 1
+        assert minor_determinant([{}], 0, 0) == 1
 
     def test_hopf(self):
-        assert minor_determinant([[2, -2], [-2, 2]], 0, 0) == 2
+        assert minor_determinant(sparse([[2, -2], [-2, 2]]), 0, 0) == 2
+
+    def test_inner_minor_reindexes_columns(self):
+        rows = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
+        assert minor_determinant(sparse(rows), 1, 1) == abs(1 * 10 - 3 * 7)
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
-            minor_determinant([[1, 0], [0, 1]], 2, 0)
+            minor_determinant(sparse([[1, 0], [0, 1]]), 2, 0)
 
     def test_non_square(self):
         with pytest.raises(ValueError):
-            minor_determinant([[1, 0, 0], [0, 1, 0]], 0, 0)
+            minor_determinant(sparse([[1, 0, 1], [0, 1, 0]]), 0, 0)  # column 2 of 2 rows
+        with pytest.raises(ValueError):
+            minor_determinant([], 0, 0)
 
 
 small_matrices = st.integers(min_value=1, max_value=5).flatmap(
@@ -55,14 +64,14 @@ def test_abs_det_matches_cofactor(rows):
 @settings(max_examples=100)
 def test_minor_matches_cofactor(rows):
     minor = [row[1:] for row in rows[1:]]
-    assert minor_determinant(rows, 0, 0) == abs(cofactor_determinant(minor))
+    assert minor_determinant(sparse(rows), 0, 0) == abs(cofactor_determinant(minor))
 
 
 @given(small_matrices)
 @settings(max_examples=100)
 def test_minor_smith_product_matches_minor_determinant(rows):
     minor = [row[1:] for row in rows[1:]]
-    value = minor_determinant(rows, 0, 0)
+    value = minor_determinant(sparse(rows), 0, 0)
     factors = smith_normal_form(minor).invariant_factors if minor else ()
     product = math.prod(d for d in factors if d)
     if value != 0:
@@ -125,12 +134,3 @@ def test_solution_enumeration_cap():
     assert space.count == 5**8
     with pytest.raises(EnumerationTooLarge):
         list(space)
-
-
-def test_int_matrix_round_trip():
-    m = IntMatrix([[1, 2], [3, 4]])
-    assert m.rows == 2 and m.cols == 2
-    assert m[1, 0] == 3
-    assert m.row_lists() == [[1, 2], [3, 4]]
-    with pytest.raises(IndexError):
-        m[2, 0]

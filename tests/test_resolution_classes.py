@@ -1,18 +1,20 @@
 """Twist classes of precrossings: one determinant per Reidemeister II class.
 
 The class-based pseudodeterminant and colorability are checked against the
-naive per-assignment oracle on symbols hypothesis builds from pseudotwists,
+naive per-assignment oracles on symbols hypothesis builds from pseudotwists,
 products, sums, ramifications, reflections and polyhedral slots, and on
 the same diagrams after a JSON round trip with relabelled nodes and
-endpoints.
+endpoints.  Colorability is read off the class determinants; the oracle
+for it counts colorings with a Smith form per assignment.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from pseudolink import invariants
+from pseudolink import invariants, linalg
 from pseudolink.diagram import Node, PseudoDiagram, build_diagram
 
-from oracles import colorable_from_determinants, resolution_determinants
+from oracles import colorable_from_determinants, resolution_determinants, smith_colorable
 
 MAX_PRECROSSINGS = 5
 MAX_CROSSINGS = 20
@@ -75,6 +77,27 @@ def test_classes_match_per_assignment_oracle(symbol, rng):
     d = build_diagram(symbol)
     _check_against_oracle(d)
     _check_against_oracle(_relabelled(d, rng))
+
+
+@given(symbols.filter(_bounded), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_determinant_rule_matches_smith_counts(symbol, rng):
+    d = build_diagram(symbol)
+    for diagram in (d, _relabelled(d, rng)):
+        for p in range(2, 14):
+            assert invariants.is_colorable(diagram, p) == smith_colorable(diagram, p), p
+
+
+def test_is_colorable_makes_no_smith_form(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("is_colorable reached the Smith form")
+
+    monkeypatch.setattr(linalg, "solution_space_mod", refuse)
+    monkeypatch.setattr(invariants, "solution_space_mod", refuse)
+    assert invariants.is_colorable(build_diagram("(13) (i^5) (13)"), 13)
+    assert not invariants.is_colorable(build_diagram("3 i 3"), 5)
+    with pytest.raises(AssertionError):
+        invariants.is_strong_colorable(build_diagram("3 i 3"), 3)
 
 
 def _keys(d):
