@@ -2,8 +2,9 @@
 
 Symbols contain spaces, so pass them quoted ("pk pseudodet '2 1 i,3,-3'"),
 or use --stdin to stream one symbol per line.  --format json switches every
-command to a single machine-readable JSON document on stdout.  Exit codes:
-0 success, 1 domain error (bad symbol, cap exceeded), 2 usage error.
+command to a single JSON document on stdout (with --stdin, an array of the
+per-symbol documents).  Exit codes: 0 success, 1 domain error (bad symbol,
+cap exceeded), 2 usage error.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from .errors import DiagramError, EnumerationTooLarge, NotationError, TooManyPre
 
 
 def _out(args, payload: dict, text_lines: Iterable[str]) -> None:
-    if args.format == "json":
+    if args.documents is not None:
+        args.documents.append(payload)
+    elif args.format == "json":
         print(json.dumps(payload, indent=1))
     else:
         for line in text_lines:
@@ -404,8 +407,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("families show needs a row number")
     if getattr(args, "symbol", "") is None and not args.stdin:
         parser.error(f"{args.command} needs a symbol or --stdin")
+    args.documents = [] if getattr(args, "stdin", False) and args.format == "json" else None
     try:
         args.func(args)
+        if args.documents is not None:
+            print(json.dumps(args.documents, indent=1))
     except SystemExit as exc:
         return int(exc.code or 0)
     except (NotationError, DiagramError, EnumerationTooLarge) as exc:

@@ -1,16 +1,17 @@
 """Exact integer matrix algebra: minors, Smith normal form, solution spaces.
 
 Everything here is arbitrary-precision integer arithmetic; no floats.
-Determinants use fraction-free elimination on sparse rows with Markowitz
-pivoting, which keeps the near-banded coloring matrices of long twist
-chains cheap.  The Smith form uses plain gcd reduction with smallest-pivot
-selection, which is ample at the matrix sizes coloring systems produce.
+Determinants use fraction-free elimination on sparse rows, the Markowitz
+pivot popped from a lazy min-heap, so the near-banded coloring matrices of
+long twist chains cost close to linear time.  The Smith form uses plain gcd
+reduction with smallest-pivot selection, ample at coloring-system sizes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import EnumerationTooLarge
@@ -40,41 +41,37 @@ class SmithForm:
 def abs_det_sparse(rows: Iterable[dict[int, int]], size: int) -> int:
     """|det| of a square integer matrix given as sparse rows.
 
-    Fraction-free one-step elimination with Markowitz pivoting.  Rows that
-    miss the pivot column are left stale and carry the pivot value current
-    at their last update; they are rescaled lazily when next touched, which
-    keeps near-banded matrices (long twist chains) close to linear cost.
+    Fraction-free one-step elimination.  The pivot, least Markowitz cost
+    (row length - 1) * (column count - 1) then least |value|, pops from a
+    min-heap of (cost, |value|, row, column) keys.  A step changes only the
+    lengths of the rows it updates and of the pivot row's columns, so only
+    their entries get fresh keys; a popped key whose entry is gone or whose
+    cost is out of date is a stale copy and is dropped.
+    Rows that miss the pivot column are left stale and carry the pivot value
+    current at their last update; they are rescaled lazily when next touched.
     Row/column permutations only flip the sign, which abs() discards.
     """
     if size == 0:
         return 1
-    work = [dict(r) for r in rows]
+    work = [{c: v for c, v in r.items() if v} for r in rows]
     if len(work) != size:
         raise ValueError("row count does not match size")
     denom = [1] * size  # pivot value current when the row was last updated
-    col_rows: dict[int, set[int]] = {}
+    col_rows: dict[int, set[int]] = {}  # column -> active rows with an entry there
     for r, row in enumerate(work):
-        for c, v in list(row.items()):
-            if v == 0:
-                del row[c]
-                continue
+        if not row:
+            return 0
+        for c in row:
             col_rows.setdefault(c, set()).add(r)
-    active = set(range(size))
+    heap = [((len(row) - 1) * (len(col_rows[c]) - 1), abs(v), r, c)
+            for r, row in enumerate(work) for c, v in row.items()]
+    heapify(heap)
     prev = 1
     for _ in range(size):
-        best = None
-        for r in active:
-            row_len = len(work[r])
-            if row_len == 0:
-                return 0
-            for c, v in work[r].items():
-                cost = (row_len - 1) * (len(col_rows[c]) - 1)
-                key = (cost, abs(v))
-                if best is None or key < best[0]:
-                    best = (key, r, c)
-        if best is None:
-            return 0
-        _, pr, pc = best
+        while True:
+            cost, _, pr, pc = heappop(heap)
+            if pr in col_rows[pc] and cost == (len(work[pr]) - 1) * (len(col_rows[pc]) - 1):
+                break
         # bring the pivot row up to the current elimination order
         if denom[pr] != prev:
             d = denom[pr]
@@ -82,9 +79,8 @@ def abs_det_sparse(rows: Iterable[dict[int, int]], size: int) -> int:
             denom[pr] = prev
         pivot_row = work[pr]
         pv = pivot_row[pc]
-        for r in list(col_rows[pc]):
-            if r == pr:
-                continue
+        updated = col_rows[pc] - {pr}
+        for r in updated:
             row = work[r]
             if denom[r] != prev:
                 d = denom[r]
@@ -102,14 +98,23 @@ def abs_det_sparse(rows: Iterable[dict[int, int]], size: int) -> int:
                         col_rows[c].discard(r)
                 else:
                     if c not in row:
-                        col_rows.setdefault(c, set()).add(r)
+                        col_rows[c].add(r)
                     row[c] = new
+            if not row:
+                return 0
             for c in [c for c in row if c not in pivot_row]:
                 row[c] = row[c] * pv // prev
             denom[r] = pv
         for c in pivot_row:
-            col_rows[c].discard(pr)
-        active.discard(pr)
+            rows_c = col_rows[c]
+            rows_c.discard(pr)
+            k = len(rows_c) - 1
+            for r in rows_c - updated:
+                heappush(heap, ((len(work[r]) - 1) * k, abs(work[r][c]), r, c))
+        for r in updated:
+            k = len(work[r]) - 1
+            for c, v in work[r].items():
+                heappush(heap, (k * (len(col_rows[c]) - 1), abs(v), r, c))
         prev = pv
     return abs(prev)
 

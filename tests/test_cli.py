@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through main()."""
 
+import io
 import json
 
 import pytest
@@ -81,12 +82,22 @@ class TestInvariantCommands:
         assert "6 nontrivial" in out
 
     def test_stdin_mode(self, capsys, monkeypatch):
-        import io
-
         monkeypatch.setattr("sys.stdin", io.StringIO("3\n2 2\n"))
         code, out, _ = run(capsys, "det", "--stdin")
         assert code == 0
         assert out.split() == ["3", "5"]
+
+    def test_stdin_json_is_one_array(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("3\n2 2\n"))
+        code, out, _ = run(capsys, "det", "--stdin", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == [{"symbol": "3", "determinant": 3}, {"symbol": "2 2", "determinant": 5}]
+
+    def test_stdin_json_bad_line_prints_nothing(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("3\n6*2 )\n"))
+        code, out, err = run(capsys, "pseudodet", "--stdin", "--format", "json")
+        assert code == 1
+        assert out == "" and "error" in err
 
     def test_text_and_json_agree(self, capsys):
         _, text_out, _ = run(capsys, "pseudodet", "2 1 i,3,-3")

@@ -5,15 +5,18 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pseudolink.diagram import build_diagram
 from pseudolink.errors import EnumerationTooLarge
+from pseudolink.invariants import determinant
 from pseudolink.linalg import (
     abs_det,
+    abs_det_sparse,
     minor_determinant,
     smith_normal_form,
     solution_space_mod,
 )
 
-from oracles import brute_solution_count, cofactor_determinant
+from oracles import brute_solution_count, cofactor_determinant, fraction_determinant, rational_determinant
 
 
 def sparse(rows):
@@ -58,6 +61,48 @@ small_matrices = st.integers(min_value=1, max_value=5).flatmap(
 @settings(max_examples=150)
 def test_abs_det_matches_cofactor(rows):
     assert abs_det(rows) == abs(cofactor_determinant(rows))
+
+
+@st.composite
+def sparse_square(draw):
+    """Sparse rows of order 1..40: near-banded or scattered, some singular or with an empty line.
+
+    Unlike the small dense matrices, these make heap keys go stale and
+    leave rows to be rescaled lazily; explicit zero entries are kept in.
+    """
+    n = draw(st.integers(min_value=1, max_value=40))
+    width = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=3)))
+    cells = [] if width is None else [
+        (i, j) for i in range(n) for j in range(max(0, i - width), min(n, i + width + 1))
+    ]
+    index = st.integers(min_value=0, max_value=n - 1)
+    cells += draw(st.lists(st.tuples(index, index), max_size=3 * n))
+    values = draw(st.lists(st.integers(min_value=-5, max_value=5), min_size=len(cells), max_size=len(cells)))
+    rows = [{} for _ in range(n)]
+    for (i, j), v in zip(cells, values):
+        rows[i][j] = v
+    defect = draw(st.sampled_from(["none", "none", "multiple", "empty row", "empty column"]))
+    a, b = draw(index), draw(index)
+    if defect == "multiple" and a != b:
+        rows[a] = {j: -2 * v for j, v in rows[b].items()}
+    elif defect == "empty row":
+        rows[a] = {}
+    elif defect == "empty column":
+        for row in rows:
+            row.pop(b, None)
+    return rows
+
+
+@given(sparse_square())
+@settings(max_examples=120, deadline=None)
+def test_abs_det_sparse_matches_rational_elimination(rows):
+    n = len(rows)
+    dense = [[row.get(j, 0) for j in range(n)] for row in rows]
+    assert abs_det_sparse(rows, n) == abs(fraction_determinant(dense))
+
+
+def test_long_twist_chain_determinant():
+    assert determinant(build_diagram("(1001) (1501)")) == rational_determinant([1001, 1501])
 
 
 @given(small_matrices)

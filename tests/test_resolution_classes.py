@@ -5,7 +5,8 @@ naive per-assignment oracles on symbols hypothesis builds from pseudotwists,
 products, sums, ramifications, reflections and polyhedral slots, and on
 the same diagrams after a JSON round trip with relabelled nodes and
 endpoints.  Colorability is read off the class determinants; the oracle
-for it counts colorings with a Smith form per assignment.
+for it counts colorings with a Smith form per assignment.  A plain JSON
+round trip must keep every invariant, strong colorability included.
 """
 
 import pytest
@@ -86,6 +87,18 @@ def test_determinant_rule_matches_smith_counts(symbol, rng):
     for diagram in (d, _relabelled(d, rng)):
         for p in range(2, 14):
             assert invariants.is_colorable(diagram, p) == smith_colorable(diagram, p), p
+
+
+@given(symbols.filter(_bounded))
+@settings(max_examples=40, deadline=None)
+def test_json_round_trip_keeps_invariants(symbol):
+    d = build_diagram(symbol)
+    copy = PseudoDiagram.from_dict(d.to_dict())
+    assert copy.crossing_count == d.crossing_count
+    assert (copy.arcs().n_arcs, copy.arcs().components) == (d.arcs().n_arcs, d.arcs().components)
+    assert invariants.pseudodeterminant(copy).to_dict() == invariants.pseudodeterminant(d).to_dict()
+    for p in range(2, 8):
+        assert invariants.is_strong_colorable(copy, p) == invariants.is_strong_colorable(d, p), p
 
 
 def test_is_colorable_makes_no_smith_form(monkeypatch):
