@@ -263,18 +263,16 @@ def cmd_families(args) -> None:
     grid_span = 2
     if args.grid:
         grid_span = _parse_grid_span(args.grid)
-    reports = families.verify_rows(row_ids, grid_span=grid_span,
-                                   precrossing_budget=args.precrossing_budget)
+    reports = families.verify_rows(row_ids, grid_span=grid_span)
     payload = {"reports": [r.to_dict() for r in reports]}
     lines = []
     for rep in reports:
-        counts = {"match": 0, "mismatch": 0, "skipped": 0, "error": 0}
+        counts = {"match": 0, "mismatch": 0, "error": 0}
         for pt in rep.points:
             counts[pt.status] += 1
         lines.append(
             f"row {rep.row_id:3d}: {rep.summary:7s} "
-            f"({counts['match']} match, {counts['mismatch']} mismatch, "
-            f"{counts['skipped']} skipped, {counts['error']} error)"
+            f"({counts['match']} match, {counts['mismatch']} mismatch, {counts['error']} error)"
         )
         if rep.summary != "match":
             for pt in rep.points:
@@ -394,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--rows", help="e.g. 1,17-19")
     p.add_argument("--grid", help="per-parameter ranges, e.g. p=1:2,k=1:3")
-    p.add_argument("--precrossing-budget", type=int, default=families.DEFAULT_PRECROSSING_BUDGET)
     p.set_defaults(func=cmd_families)
 
     return parser
@@ -407,6 +404,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("families show needs a row number")
     if getattr(args, "symbol", "") is None and not args.stdin:
         parser.error(f"{args.command} needs a symbol or --stdin")
+    if getattr(args, "symbol", None) is not None and args.stdin:
+        parser.error(f"{args.command} takes a symbol or --stdin, not both")
     args.documents = [] if getattr(args, "stdin", False) and args.format == "json" else None
     try:
         args.func(args)

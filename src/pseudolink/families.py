@@ -4,9 +4,9 @@ Sixty tabulated families over parameters p, q, r, s (twist halves) and
 k, m, n (pseudotwist halves), each with a closed-form pseudodeterminant,
 plus two supplementary families with the Kauffman-Harary property.  The
 verifier instantiates members over a parameter grid, computes the actual
-pseudodeterminant, and compares exactly; a family whose formula disagrees
-everywhere is flagged as a suspected transcription error rather than
-failing the run.
+pseudodeterminant at every point, and compares exactly; a family whose
+formula disagrees is flagged as a suspected transcription error rather
+than failing the run.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from .diagram import DEFAULT_PRECROSSING_CAP, build_diagram
 from .errors import NoPseudotwistAtLocation
 from .invariants import pseudodeterminant
 from .notation import ConwayExpr, Elementary, Kind, Polyhedral, Product, Ramification, Reflect, Sum, Twist
-
-DEFAULT_PRECROSSING_BUDGET = 7
 
 
 @dataclass(frozen=True)
@@ -261,22 +259,6 @@ def predicted_d(spec: FamilySpec, **params: int) -> int:
     return abs(spec.formula(**{name: params[name] for name in spec.parameters}))
 
 
-def _precrossing_count(expr: ConwayExpr) -> int:
-    if isinstance(expr, Elementary):
-        return 1 if expr.kind is Kind.PRE else 0
-    if isinstance(expr, Twist):
-        return expr.count if expr.kind is Kind.PRE else 0
-    if isinstance(expr, (Product, Sum)):
-        return _precrossing_count(expr.left) + _precrossing_count(expr.right)
-    if isinstance(expr, Ramification):
-        return sum(_precrossing_count(part) for part in expr.parts)
-    if isinstance(expr, Reflect):
-        return _precrossing_count(expr.inner)
-    if isinstance(expr, Polyhedral):
-        return sum(_precrossing_count(slot) for slot in expr.slots)
-    raise TypeError(repr(expr))
-
-
 def default_grid(spec: FamilySpec, span: int = 2) -> list[dict[str, int]]:
     values = range(1, span + 1)
     return [dict(zip(spec.parameters, point))
@@ -289,7 +271,7 @@ class GridPoint:
     symbol: str
     computed: int | None
     predicted: int
-    status: str  # "match" | "mismatch" | "skipped" | "error"
+    status: str  # "match" | "mismatch" | "error"
     detail: str = ""
 
 
@@ -324,55 +306,42 @@ class RowReport:
 def verify_row(
     spec: FamilySpec,
     grid: Iterable[Mapping[str, int]] | None = None,
-    precrossing_budget: int = DEFAULT_PRECROSSING_BUDGET,
     cap: int = DEFAULT_PRECROSSING_CAP,
 ) -> RowReport:
     """Compare computed and predicted pseudodeterminants over a grid.
 
-    Mismatches flag the row; they do not raise.  Grid points whose members
-    carry more precrossings than the budget are skipped so the resolution
-    enumeration stays at most 2^budget per member.
+    Every grid point is computed: the pseudodeterminant costs one
+    determinant per corner class, 2^g for g twist groups, however long the
+    pseudotwists are.  Mismatches flag the row; they do not raise.  A point
+    that cannot be computed, such as a member with more than `cap`
+    precrossings, is reported as an error.
     """
     points = []
-    seen_status: set[str] = set()
     for params in grid if grid is not None else default_grid(spec):
         params = dict(params)
         symbol = instantiate_template(spec.template, params)
         predicted = predicted_d(spec, **params)
         try:
-            expr = notation.parse(symbol)
-            if _precrossing_count(expr) > precrossing_budget:
-                points.append(GridPoint(params, symbol, None, predicted, "skipped",
-                                        f"more than {precrossing_budget} precrossings"))
-                continue
-            computed = pseudodeterminant(build_diagram(expr), cap=cap).pseudodeterminant
+            computed = pseudodeterminant(build_diagram(symbol), cap=cap).pseudodeterminant
         except Exception as exc:  # computation errors are reported per-point
             points.append(GridPoint(params, symbol, None, predicted, "error", str(exc)))
-            seen_status.add("error")
             continue
         status = "match" if computed == predicted else "mismatch"
-        seen_status.add(status)
         points.append(GridPoint(params, symbol, computed, predicted, status))
-    if "error" in seen_status:
-        summary = "error"
-    elif "mismatch" in seen_status:
-        summary = "FLAGGED"
-    else:
-        summary = "match"
+    statuses = {pt.status for pt in points}
+    summary = "error" if "error" in statuses else "FLAGGED" if "mismatch" in statuses else "match"
     return RowReport(spec.row_id, spec.template, spec.formula_text, tuple(points), summary)
 
 
 def verify_rows(
     row_ids: Iterable[int] | None = None,
     grid_span: int = 2,
-    precrossing_budget: int = DEFAULT_PRECROSSING_BUDGET,
 ) -> list[RowReport]:
     ids = sorted(row_ids) if row_ids is not None else [s.row_id for s in FAMILY_TABLE]
     reports = []
     for row_id in ids:
         spec = get_family(row_id)
-        reports.append(verify_row(spec, default_grid(spec, grid_span),
-                                  precrossing_budget=precrossing_budget))
+        reports.append(verify_row(spec, default_grid(spec, grid_span)))
     return reports
 
 

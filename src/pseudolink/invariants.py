@@ -10,12 +10,14 @@ property) is driven by those matrices and exact integer arithmetic.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 from .diagram import DEFAULT_PRECROSSING_CAP, PseudoDiagram
-from .errors import HasPrecrossings
+from .errors import HasPrecrossings, TooManyPrecrossings
 from .linalg import minor_determinant, solution_space_mod
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -102,11 +104,69 @@ class ResolutionDet:
     det: int
 
 
+class _ClassTable:
+    """Determinants of a diagram's resolution classes, each computed at most once.
+
+    Precrossings joined by bigon faces form twist groups, and by
+    Reidemeister II a resolution with a positive-sense and b negative-sense
+    choices in a group is the integer tangle a - b there
+    (PseudoDiagram.twist_classes).  So a resolution's link type depends only
+    on its key, the positive-sense count in every group: an i^n has n + 1
+    classes instead of 2^n.  A class's determinant comes from one
+    representative, the resolution whose first members in each group take
+    the positive sense.
+    """
+
+    def __init__(self, d: PseudoDiagram, cap: int):
+        pres = d.precrossing_indices()
+        if len(pres) > cap:
+            raise TooManyPrecrossings(len(pres), cap)
+        self.d = d
+        self.cap = cap
+        classes = d.twist_classes()
+        self.groups: list[list[tuple[int, int]]] = [[] for _ in {group for group, _ in classes.values()}]
+        for idx in pres:
+            group, flip = classes[idx]
+            self.groups[group].append((idx, flip))
+        self._dets: dict[tuple[int, ...], int] = {}
+
+    def keys(self) -> Iterator[tuple[int, ...]]:
+        """Every class key: 0..n positive-sense choices in each group of n."""
+        return itertools.product(*(range(len(members) + 1) for members in self.groups))
+
+    def corners(self) -> Iterator[tuple[int, ...]]:
+        """The 2^g keys with 0 or 1 positive-sense choice in each group."""
+        return itertools.product((0, 1), repeat=len(self.groups))
+
+    def det(self, key: tuple[int, ...]) -> int:
+        if key not in self._dets:
+            assignment = {
+                idx: flip if pos < count else 1 - flip
+                for members, count in zip(self.groups, key)
+                for pos, (idx, flip) in enumerate(members)
+            }
+            self._dets[key] = determinant(self.d.resolve(assignment))
+        return self._dets[key]
+
+    def resolutions(self) -> tuple[ResolutionDet, ...]:
+        """One entry per assignment, in PseudoDiagram.resolutions order."""
+        entries = []
+        for assignment in self.d.resolutions(self.cap):
+            key = tuple(sum(assignment[idx] == flip for idx, flip in members) for members in self.groups)
+            entries.append(ResolutionDet(_assignment_string(assignment), self.det(key)))
+        return tuple(entries)
+
+
 @dataclass(frozen=True)
 class PseudoDetReport:
     symbol: str | None
-    resolutions: tuple[ResolutionDet, ...]
     pseudodeterminant: int
+    _table: _ClassTable = field(repr=False, compare=False)
+
+    @cached_property
+    def resolutions(self) -> tuple[ResolutionDet, ...]:
+        """Every full resolution with its determinant, built on first access."""
+        return self._table.resolutions()
 
     def to_dict(self) -> dict:
         return {
@@ -119,38 +179,15 @@ class PseudoDetReport:
         """All p in 2..bound that share a factor with every resolution determinant.
 
         0 counts as sharing every factor.  These are the p for which every
-        resolution has a nontrivial p-coloring (see _colorable_det).
+        resolution has a nontrivial p-coloring (see _colorable_det).  A
+        composite p needs every class determinant, not only their gcd.
         """
-        dets = {r.det for r in self.resolutions}
+        dets = {self._table.det(key) for key in self._table.keys()}
         return {p for p in range(2, bound + 1) if all(_colorable_det(det, p) for det in dets)}
 
 
 def _assignment_string(assignment: dict[int, int]) -> str:
     return "".join("+" if assignment[i] == 0 else "-" for i in sorted(assignment))
-
-
-def _keyed_resolutions(d: PseudoDiagram, cap: int) -> Iterator[tuple[dict[int, int], tuple[int, ...]]]:
-    """Every full resolution with its class key: positive-sense choices per twist group.
-
-    Resolutions with equal keys are isotopic (PseudoDiagram.twist_classes).
-    """
-    classes = d.twist_classes()
-    n_groups = 1 + max((group for group, _ in classes.values()), default=-1)
-    for assignment in d.resolutions(cap):
-        counts = [0] * n_groups
-        for idx, choice in assignment.items():
-            group, flip = classes[idx]
-            counts[group] += choice == flip
-        yield assignment, tuple(counts)
-
-
-def _resolution_dets(d: PseudoDiagram, cap: int) -> Iterator[tuple[dict[int, int], int]]:
-    """Every full resolution with its determinant, computed once per class key."""
-    dets: dict[tuple[int, ...], int] = {}
-    for assignment, key in _keyed_resolutions(d, cap):
-        if key not in dets:
-            dets[key] = determinant(d.resolve(assignment))
-        yield assignment, dets[key]
 
 
 def pseudodeterminant(
@@ -160,23 +197,16 @@ def pseudodeterminant(
 ) -> PseudoDetReport:
     """gcd of the determinants over all full resolutions, with the table.
 
-    The table keeps one entry per assignment, in enumeration order, but a
-    determinant is computed only once per resolution class: precrossings
-    joined by bigon faces form twist groups, and by Reidemeister II a
-    resolution with a positive-sense and b negative-sense choices in a group
-    is the integer tangle a - b there, so assignments with the same
-    positive-sense count in every group resolve to isotopic links.  An i^n
-    thus costs n + 1 determinants instead of 2^n.  The Kauffman-Harary
-    property and explicit colorings depend on the diagram, not only on its
-    link type (Reidemeister II changes the arc count), so kh_property and
-    find_colorings stay per assignment.
+    The gcd is taken over the 2^g corner classes only, those with 0 or 1
+    positive-sense choice in each twist group: the signed determinant is
+    multiaffine in the groups' net twists t (Conway 1970), and
+    f(t + 2j) = (1 - j) f(t) + j f(t + 2) makes every class determinant an
+    integer combination of the corners.  The per-assignment table is built
+    on first access.  kh_property and find_colorings stay per assignment:
+    they depend on the diagram, not only on its link type.
     """
-    entries = []
-    g = 0
-    for assignment, det in _resolution_dets(d, cap):
-        g = math.gcd(g, det)
-        entries.append(ResolutionDet(_assignment_string(assignment), det))
-    return PseudoDetReport(symbol, tuple(entries), g)
+    table = _ClassTable(d, cap)
+    return PseudoDetReport(symbol, math.gcd(*(table.det(key) for key in table.corners())), table)
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +237,12 @@ def is_colorable(d: PseudoDiagram, p: int, cap: int = DEFAULT_PRECROSSING_CAP) -
 
     A resolution has one exactly when its determinant is 0 or shares a
     factor with p, and the determinants come one per resolution class (see
-    pseudodeterminant).  The walk stops at the first resolution that has
-    none.
+    _ClassTable).  The walk stops at the first class that has none.
     """
     if p < 2:
         raise ValueError("modulus must be >= 2")
-    return all(_colorable_det(det, p) for _, det in _resolution_dets(d, cap))
+    table = _ClassTable(d, cap)
+    return all(_colorable_det(table.det(key), p) for key in table.keys())
 
 
 def is_strong_colorable(d: PseudoDiagram, p: int) -> bool:
@@ -225,7 +255,7 @@ def is_strong_colorable(d: PseudoDiagram, p: int) -> bool:
 def coloring_numbers(d: PseudoDiagram, bound: int, cap: int = DEFAULT_PRECROSSING_CAP) -> set[int]:
     """All p in 2..bound for which the diagram is colorable mod p.
 
-    Decided from the per-resolution determinants (PseudoDetReport.coloring_numbers).
+    Decided from the class determinants (PseudoDetReport.coloring_numbers).
     """
     return pseudodeterminant(d, cap=cap).coloring_numbers(bound)
 

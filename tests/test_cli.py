@@ -115,6 +115,14 @@ class TestInvariantCommands:
         err = capsys.readouterr().err
         assert "usage: pk" in err and "det needs a symbol or --stdin" in err
 
+    def test_symbol_and_stdin_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("5\n"))
+        with pytest.raises(SystemExit) as exc:
+            main(["det", "3", "--stdin"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "det takes a symbol or --stdin, not both" in captured.err
+
 
 class TestCensus:
     def test_bundle(self, capsys, tmp_path):

@@ -123,9 +123,12 @@ class TestVerify:
         assert mismatches
         assert all(pt.computed is not None for pt in mismatches)
 
-    def test_budget_skips_and_reports(self):
-        report = verify_row(get_family(50), precrossing_budget=3)
-        assert any(pt.status == "skipped" for pt in report.points)
+    def test_every_point_is_computed(self):
+        # k = m = n = 2 carries 9 precrossings; its gcd needs only 2^3 corner classes
+        report = verify_row(get_family(50))
+        assert len(report.points) == 2 ** len(get_family(50).parameters)
+        assert all(pt.status == "match" and pt.computed is not None for pt in report.points)
+        assert report.summary == "match"
 
     def test_report_serializes(self):
         payload = verify_row(get_family(1)).to_dict()

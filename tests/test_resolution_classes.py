@@ -9,6 +9,8 @@ for it counts colorings with a Smith form per assignment.  A plain JSON
 round trip must keep every invariant, strong colorability included.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -66,10 +68,14 @@ def _relabelled(d, rng):
 def _check_against_oracle(d):
     want = resolution_determinants(d)
     report = invariants.pseudodeterminant(d)
+    assert report.pseudodeterminant == math.gcd(*want)  # from the 2^g corner classes
     assert [r.det for r in report.resolutions] == want
     assert len(report.resolutions) == 2 ** len(d.precrossing_indices())
     for p in range(2, 14):
         assert invariants.is_colorable(d, p) == colorable_from_determinants(want, p), p
+    assert invariants.coloring_numbers(d, 13) == {
+        p for p in range(2, 14) if colorable_from_determinants(want, p)
+    }
 
 
 @given(symbols.filter(_bounded), st.randoms(use_true_random=False))
@@ -114,7 +120,7 @@ def test_is_colorable_makes_no_smith_form(monkeypatch):
 
 
 def _keys(d):
-    return {key for _, key in invariants._keyed_resolutions(d, 20)}
+    return set(invariants._ClassTable(d, 20).keys())
 
 
 def test_pseudotwist_has_n_plus_one_classes():
@@ -137,6 +143,28 @@ def test_one_determinant_per_class(monkeypatch):
     assert len(report.resolutions) == 2048
     assert len(calls) == 12
     assert len({r.det for r in report.resolutions}) == 12
+
+
+def test_pseudodeterminant_needs_only_the_corner_classes(monkeypatch):
+    det_calls = []
+    walks = []
+    real_det = invariants.determinant
+    real_walk = PseudoDiagram.resolutions
+    monkeypatch.setattr(invariants, "determinant", lambda d: det_calls.append(1) or real_det(d))
+    monkeypatch.setattr(PseudoDiagram, "resolutions", lambda d, cap: walks.append(1) or real_walk(d, cap))
+    report = invariants.pseudodeterminant(build_diagram("9*.(i^3):.(i^5):.(i^5)"))
+    assert report.pseudodeterminant == 3
+    assert (len(det_calls), len(walks)) == (8, 0)  # 2^3 corners of 4 x 6 x 6 classes
+    assert len(report.resolutions) == 8192
+    assert (len(det_calls), len(walks)) == (144, 1)
+
+
+def test_composite_modulus_reads_every_class():
+    # one twist group with class determinants 3, 5, 7: the corners 3 and 5
+    # both have 15-colorings, the middle class does not
+    d = build_diagram("(1) (i^2),(4)")
+    assert invariants.coloring_numbers(d, 15) == set()
+    assert not invariants.is_colorable(d, 15)
 
 
 def _random_map(rng, n):
